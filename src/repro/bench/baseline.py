@@ -220,21 +220,20 @@ def collect_ingest_path_cells(
     }
 
 
-#: The persistence stacks pinned by the backend cells.
-BACKENDS = ("v1", "v2-local", "v2-memory")
+#: The blob stores pinned by the backend cells.
+BACKENDS = ("local", "memory")
 
 
 def _backend_ingest_stats(n: int, seed: int, backend: str) -> dict[str, int]:
     """Persisted-byte accounting of one WAL-enabled ingest run per backend.
 
-    The identical seeded batched workload runs over the v1 local layout,
-    the v2 layout on a ``LocalDirStore``, and the v2 layout on a
-    ``MemoryStore``; the cell records the WAL bytes/flushes the run
-    appended and the total bytes of the sealed TsFiles it left behind.
-    All three are exact byte/operation counts of deterministic encoders,
-    so the three cells must be *identical* — v2-local is byte-for-byte
-    the v1 tree, and the memory store runs the same code over a dict —
-    which :func:`check_invariants` enforces as equalities every run.
+    The identical seeded batched workload runs over a ``data_dir``
+    (``LocalDirStore``) and over a ``MemoryStore``; the cell records the
+    WAL bytes/flushes the run appended and the total bytes of the sealed
+    TsFiles it left behind.  Both are exact byte/operation counts of
+    deterministic encoders, so the two cells must be *identical* — the
+    memory store runs the same code over a dict — which
+    :func:`check_invariants` enforces as an equality every run.
     """
     import shutil
     import tempfile
@@ -255,31 +254,20 @@ def _backend_ingest_stats(n: int, seed: int, backend: str) -> dict[str, int]:
         n_devices=INGEST_DEVICES,
         seed=seed,
     )
-    tmp: str | None = None
+    tmp = None
+    if backend == "local":
+        tmp = tempfile.mkdtemp(prefix="repro-bench-backend-")
     try:
-        if backend == "v2-memory":
-            store = MemoryStore()
-            engine = StorageEngine.create(
-                IoTDBConfig(
-                    sorter="backward",
-                    wal_enabled=True,
-                    memtable_flush_threshold=max(2, n // 16),
-                    engine_version=2,
-                ),
-                backend=store,
-            )
-        else:
-            tmp = tempfile.mkdtemp(prefix="repro-bench-backend-")
-            engine = StorageEngine.create(
-                IoTDBConfig(
-                    sorter="backward",
-                    wal_enabled=True,
-                    memtable_flush_threshold=max(2, n // 16),
-                    data_dir=tmp,
-                    engine_version=1 if backend == "v1" else 2,
-                )
-            )
-            store = engine.store
+        engine = StorageEngine.create(
+            IoTDBConfig(
+                sorter="backward",
+                wal_enabled=True,
+                memtable_flush_threshold=max(2, n // 16),
+                data_dir=tmp,
+            ),
+            backend=MemoryStore() if backend == "memory" else None,
+        )
+        store = engine.store
         for op in build_operations(workload):
             if isinstance(op, WriteOp):
                 engine.write_batch(
@@ -308,11 +296,9 @@ def collect_backend_cells(
 ) -> dict[str, dict[str, int]]:
     """Backend-parity cells: identical persisted work on every backend.
 
-    The checker enforces — structurally, every run — that the
-    ``v2-local`` cell equals the ``v1`` cell (the v2-local tree is
-    byte-for-byte the v1 tree) and the ``v2-memory`` cell equals the
-    ``v2-local`` cell (the same code path over an in-memory KV): the
-    pluggable backend must cost nothing and change nothing.
+    The checker enforces — structurally, every run — that the ``memory``
+    cell equals the ``local`` cell (the same code path over an in-memory
+    KV): the pluggable backend must cost nothing and change nothing.
     """
     return {
         f"ingest/backend={backend}": _backend_ingest_stats(n, seed, backend)
@@ -502,19 +488,13 @@ def check_invariants(current: dict) -> list[str]:
             "less"
         )
 
-    v1 = cells.get("ingest/backend=v1")
-    v2_local = cells.get("ingest/backend=v2-local")
-    v2_memory = cells.get("ingest/backend=v2-memory")
-    if v1 is not None and v2_local is not None and v2_local != v1:
+    local = cells.get("ingest/backend=local")
+    memory = cells.get("ingest/backend=memory")
+    if local is not None and memory is not None and memory != local:
         problems.append(
-            f"ingest/backend=v2-local {v2_local} differs from backend=v1 "
-            f"{v1}: the v2-local tree must be byte-for-byte the v1 tree"
-        )
-    if v2_local is not None and v2_memory is not None and v2_memory != v2_local:
-        problems.append(
-            f"ingest/backend=v2-memory {v2_memory} differs from "
-            f"backend=v2-local {v2_local}: the memory store runs the same "
-            "code path and must persist identical bytes"
+            f"ingest/backend=memory {memory} differs from backend=local "
+            f"{local}: the memory store runs the same code path and must "
+            "persist identical bytes"
         )
 
     cache_on = cells.get("flush/lcache=on")

@@ -1,11 +1,12 @@
-"""Pluggable blob-store backends for the storage engine's v2 layout.
+"""Pluggable blob-store backends: the one path the storage engine persists through.
 
 Every persistence call site in the engine — sealed TsFiles, WAL segments,
 interval indexes, ``meta/engine.json`` — addresses bytes through the
 :class:`BlobStore` interface.  :class:`LocalDirStore` maps keys 1:1 onto a
-local directory (byte-identical to the historical v1 tree);
-:class:`MemoryStore` is an S3-like in-memory table used by the parity
-suites and the ``v2-memory`` crash sweep.  See docs/STORAGE.md for the
+local directory (byte-identical to the historical local tree);
+:class:`MemoryStore` is an S3-like in-memory table — the private store of
+every engine created without a ``data_dir``, and the ``memory`` crash
+sweep's.  See docs/STORAGE.md for the
 normative on-disk format and the per-method atomicity contract.
 """
 

@@ -3,15 +3,15 @@
 A *blob store* is a flat key → bytes mapping with S3-like semantics: keys
 are ``/``-separated relative paths (``shard-00/seq-000001.tsfile``,
 ``meta/engine.json``), values are immutable once published, and the only
-structural operation is a prefix listing.  The engine's v1 on-disk layout
+structural operation is a prefix listing.  The engine's on-disk layout
 is exactly one such mapping over a local directory
 (:class:`~repro.iotdb.backends.local.LocalDirStore`, key ↔ relative path,
 byte for byte), which is what lets every sealed TsFile, WAL segment,
 interval index, and engine-meta write go through this interface without
-changing a single byte of the v1 tree.  A second implementation
-(:class:`~repro.iotdb.backends.memory.MemoryStore`) keeps the same mapping
-in process memory — the shape of an object-store backend, used by the
-parity suites and the crash harness's ``v2-memory`` sweep.
+changing a single byte of the historical local tree.  A second
+implementation (:class:`~repro.iotdb.backends.memory.MemoryStore`) keeps
+the same mapping in process memory — the shape of an object-store
+backend, and the store of every engine created without a ``data_dir``.
 
 Atomicity contract (normative; docs/STORAGE.md §"BlobStore contract"):
 
@@ -38,8 +38,8 @@ Atomicity contract (normative; docs/STORAGE.md §"BlobStore contract"):
 ``ensure_prefix``
     materialises a directory-like prefix where the backend has real
     directories (``LocalDirStore``), a no-op elsewhere — it exists so the
-    v2-local tree stays byte-identical to v1 including *empty* shard
-    directories.
+    local tree stays byte-identical to the historical layout including
+    *empty* shard directories.
 """
 
 from __future__ import annotations

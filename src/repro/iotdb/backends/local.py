@@ -1,12 +1,12 @@
-"""LocalDirStore: the BlobStore over a local directory (the v1 layout).
+"""LocalDirStore: the BlobStore over a local directory (the local layout).
 
 Keys map 1:1 to paths relative to ``root`` — ``shard-00/seq-000001.tsfile``
 is literally ``root/shard-00/seq-000001.tsfile`` — so an engine whose
 persistence goes through this store writes the *same bytes to the same
-paths* as the pre-backend code did.  That identity is what makes the v1
-tree byte-for-byte stable under the backend refactor (pinned by the parity
-suite) and what lets ``StorageEngine.open`` serve a v2-local tree and a v1
-tree with the same code.
+paths* as the pre-backend code did.  That identity is what keeps the
+local tree byte-for-byte stable under the backend refactor (pinned by the
+parity suite) and what lets ``StorageEngine.open`` serve trees stamped
+version 1 by older builds with the same code.
 
 Atomicity: ``put`` stages to ``<key>.part`` and publishes with
 ``os.replace``; ``rename_atomic`` *is* ``os.replace``.  Both therefore
@@ -99,5 +99,6 @@ class LocalDirStore(BlobStore):
 
     def ensure_prefix(self, prefix: str) -> None:
         """Create the directory a ``/``-terminated prefix names (keeps the
-        v2-local tree identical to v1 down to empty shard directories)."""
+        local tree identical to the historical layout down to empty shard
+        directories)."""
         (self.root / prefix.rstrip("/")).mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,7 @@ Write path (§V): a point is routed by its shard's separation policy to the
 sequence or unsequence *working* memtable (optionally after a WAL append);
 when a memtable crosses the flush threshold it transitions to *flushing*,
 is sorted chunk-by-chunk with the configured sorter, encoded, and sealed
-into an immutable TsFile (in memory by default, on disk under the shard's
-``shard-NN/`` directory when ``data_dir`` is set).
+into an immutable TsFile under the shard's ``shard-NN/`` key prefix.
 
 Query path: a time-range query is answered by the single shard that owns
 the device (series-hash routing makes the per-shard merge degenerate); the
@@ -26,22 +25,22 @@ Front door: construct engines through the two keyword-only factories —
 :meth:`StorageEngine.create` for a fresh start (deletes any leftover WAL
 segments) and :meth:`StorageEngine.open` to recover a persisted engine
 after a restart or crash (each shard recovers its key prefix
-independently).  The plain constructor survives as a deprecated shim of
-``create``.
+independently).
 
-Versioned layouts: every persisted tree carries a CRC-framed
-``meta/engine.json`` stamp (:mod:`repro.iotdb.meta`) naming its layout
-version, backend kind, and shard count.  ``create`` writes version 1 (the
-historical local directory tree) by default; ``create(version=2)`` — or
-``config.engine_version = 2`` — selects the v2 layout, whose bytes are
-addressed through a pluggable :class:`~repro.iotdb.backends.BlobStore`
-(``backend=`` accepts any store; the default wraps ``data_dir`` in a
-:class:`~repro.iotdb.backends.LocalDirStore`, making the v2-local tree
-byte-identical to v1).  ``open`` dispatches on the stamp, not on the
-config: an unversioned directory is inferred as v1 and stamped, a torn
-stamp is rebuilt from what the access path proves, and a future or
-malformed version is refused with a precise error (docs/STORAGE.md holds
-the normative format and compatibility matrix).
+One persistence path: every engine persists through exactly one
+:class:`~repro.iotdb.backends.BlobStore` — ``backend=`` if given, else a
+:class:`~repro.iotdb.backends.LocalDirStore` over ``config.data_dir``,
+else a private :class:`~repro.iotdb.backends.MemoryStore` — so WAL
+segments, TsFile sinks and the interval index take the same code path
+(and pass the same fault sites) in memory as on disk.  Every tree carries
+a CRC-framed ``meta/engine.json`` stamp (:mod:`repro.iotdb.meta`) naming
+its layout version, backend kind, and shard count.  ``create`` stamps
+version 2; ``open`` dispatches on the stamp, not on the config: version 1
+(what older builds wrote for the byte-identical local tree) is a read
+alias that validates unchanged, an unversioned tree is stamped, a torn
+stamp is rebuilt, and a future or malformed version is refused with a
+precise error (docs/STORAGE.md holds the normative format and
+compatibility matrix).
 
 Flush/compaction concurrency: with ``config.flush_workers > 0`` the
 engine owns a shared :class:`~concurrent.futures.ThreadPoolExecutor` and
@@ -59,20 +58,19 @@ write and query hot paths take only the owning shard's lock.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 from repro.analysis.concurrency import create_lock
 from repro.core.sorter import Sorter
 from repro.errors import MetaCorruptionError, StorageError
 from repro.faults.injector import NOOP_INJECTOR
-from repro.iotdb.backends import BlobStore, LocalDirStore
+from repro.iotdb.backends import BlobStore, LocalDirStore, MemoryStore
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.engine_metrics import EngineInstruments
 from repro.iotdb.meta import (
     ENGINE_META_KEY,
+    LAYOUT_VERSION,
     EngineMeta,
     check_supported_version,
     read_meta,
@@ -84,11 +82,6 @@ from repro.iotdb.separation import Space
 from repro.iotdb.shard import StorageShard
 from repro.obs import Observability, metrics_only
 from repro.sorting.registry import get_sorter
-
-#: Sentinel distinguishing "derive the store from config.data_dir" (the
-#: constructor's historical behaviour) from an explicit ``None``/store.
-_UNSET = object()
-
 
 class _SeparationView:
     """Engine-wide view over the per-shard separation policies.
@@ -134,6 +127,78 @@ class _SeparationView:
         return merged
 
 
+def _resolve_store(
+    config: IoTDBConfig, backend: BlobStore | None, entry: str
+) -> BlobStore:
+    """The one store an engine persists through: ``backend=``, else a
+    ``LocalDirStore`` over ``config.data_dir``, else a private
+    ``MemoryStore``."""
+    if backend is not None:
+        if config.data_dir is not None:
+            raise StorageError(
+                f"pass either config.data_dir or backend= to "
+                f"StorageEngine.{entry}, not both"
+            )
+        return backend
+    if config.data_dir is not None:
+        return LocalDirStore(config.data_dir)
+    return MemoryStore()
+
+
+def _check_local_shape(config: IoTDBConfig) -> None:
+    """Refuse a ``data_dir`` whose directory shape contradicts ``config``.
+
+    Unstamped directories predate ``meta/engine.json``, so their shard
+    count is read off the ``shard-NN/`` directories; TsFiles only ever
+    live below those.
+    """
+    data_dir = config.data_dir
+    existing = sorted(p for p in data_dir.glob("shard-*") if p.is_dir())
+    if existing and len(existing) != config.shards:
+        raise StorageError(
+            f"data_dir holds {len(existing)} shard directories but "
+            f"config.shards={config.shards}; reopen with the shard "
+            "count the directory was written with"
+        )
+    stray = sorted(data_dir.glob("*.tsfile")) + sorted(
+        data_dir.glob("*.tsfile.part")
+    )
+    if stray:
+        raise StorageError(
+            f"unrecognised TsFile name {stray[0].name!r}: TsFiles "
+            "live under per-shard shard-NN/ directories"
+        )
+
+
+def _resolve_meta(config: IoTDBConfig, store: BlobStore) -> str:
+    """How ``open`` resolves the tree's stamp: the recovery outcome.
+
+    Versions 1 and 2 name the same bytes below ``meta/``, so every
+    supported stamp validates as-is; a missing or torn stamp costs only
+    a rewrite — the shard recovery path proves everything else.
+    """
+    try:
+        meta = read_meta(store)
+    except MetaCorruptionError:
+        return "rebuilt-corrupt"
+    if meta is None:
+        return "stamped-unversioned"
+    check_supported_version(meta.version)
+    if meta.backend != store.kind:
+        raise StorageError(
+            f"engine meta records backend kind {meta.backend!r} but the "
+            f"tree is opened through a {store.kind!r} store; refusing to "
+            "mix backends"
+        )
+    if meta.shards != config.shards:
+        raise StorageError(
+            f"engine meta records {meta.shards} shards but "
+            f"config.shards={config.shards}; reopen with the shard "
+            "count the tree was written with"
+        )
+    return "validated"
+
+
 class StorageEngine:
     """An in-process, sharded time-series store with a pluggable TVList sorter.
 
@@ -145,25 +210,17 @@ class StorageEngine:
 
     def __init__(
         self,
-        config: IoTDBConfig | None = None,
-        sorter: Sorter | None = None,
+        config: IoTDBConfig,
+        store: BlobStore,
         *,
+        sorter: Sorter | None = None,
         obs: Observability | None = None,
         faults=None,
-        _from_factory: bool = False,
-        _fresh: bool = True,
-        _store=_UNSET,
-        _version: int | None = None,
+        fresh: bool = True,
     ) -> None:
-        if not _from_factory:
-            warnings.warn(
-                "constructing StorageEngine(...) directly is deprecated; use "
-                "StorageEngine.create(...) for a fresh engine or "
-                "StorageEngine.open(...) to recover an on-disk one",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.config = config if config is not None else IoTDBConfig()
+        """Wire an engine over ``store`` (resolved by :meth:`create` or
+        :meth:`open`; call those, not this)."""
+        self.config = config
         # Default: a per-engine metrics-only Observability, so describe()
         # always sits over a live registry.  Inject Observability() for
         # tracing too, or repro.obs.NOOP to disable metrics entirely.
@@ -178,22 +235,8 @@ class StorageEngine:
         self._lock = create_lock("StorageEngine._lock")
         self._instruments = EngineInstruments(self.obs.registry)
         self._executor = TimeRangeQueryExecutor(self.sorter, self.obs)
-        if _store is _UNSET:
-            # Historical behaviour: persistence over the local directory
-            # (LocalDirStore creates it), pure in-memory without one.
-            store = (
-                LocalDirStore(self.config.data_dir)
-                if self.config.data_dir is not None
-                else None
-            )
-        else:
-            store = _store
-        #: Where the engine persists bytes (``None`` = pure in-memory).
-        self.store: BlobStore | None = store
-        #: The layout version this engine reads and writes.
-        self.engine_version: int = (
-            _version if _version is not None else self.config.engine_version
-        )
+        #: Where the engine persists every byte.
+        self.store: BlobStore = store
         self._shards: tuple[StorageShard, ...] = tuple(
             StorageShard(
                 shard_id,
@@ -203,8 +246,8 @@ class StorageEngine:
                 faults=self.faults,
                 instruments=self._instruments,
                 executor=self._executor,
-                fresh=_fresh,
                 store=store,
+                fresh=fresh,
             )
             for shard_id in range(self.config.shards)
         )
@@ -226,7 +269,6 @@ class StorageEngine:
         sorter: Sorter | None = None,
         obs: Observability | None = None,
         faults=None,
-        version: int | None = None,
         backend: BlobStore | None = None,
     ) -> "StorageEngine":
         """A fresh engine (the fresh-start entry of the front door).
@@ -238,62 +280,18 @@ class StorageEngine:
         :class:`~repro.obs.Observability`, ``faults`` a
         :class:`~repro.faults.FaultInjector`.
 
-        ``version`` selects the on-disk layout (default
-        ``config.engine_version``): version 1 is the historical local
-        directory tree and persists iff ``config.data_dir`` is set;
-        version 2 addresses the same key layout through a pluggable
-        :class:`~repro.iotdb.backends.BlobStore` — pass one as
-        ``backend=``, or set ``config.data_dir`` to persist through a
-        :class:`~repro.iotdb.backends.LocalDirStore` (byte-identical to
-        the v1 tree).  Every persisted tree is stamped with a
-        ``meta/engine.json`` record that :meth:`open` later dispatches on.
+        The engine persists through exactly one
+        :class:`~repro.iotdb.backends.BlobStore`: ``backend=`` if given,
+        else a :class:`~repro.iotdb.backends.LocalDirStore` over
+        ``config.data_dir``, else a private
+        :class:`~repro.iotdb.backends.MemoryStore`.  The tree is stamped
+        with a ``meta/engine.json`` record (layout version 2) that
+        :meth:`open` later dispatches on.
         """
         config = config if config is not None else IoTDBConfig()
-        if version is None:
-            version = config.engine_version
-        if version not in (1, 2):
-            raise StorageError(f"engine version must be 1 or 2, got {version!r}")
-        if version == 1:
-            if backend is not None:
-                raise StorageError(
-                    "engine version 1 is the local directory layout; it takes "
-                    "a config.data_dir, not a backend= store (use version=2 "
-                    "for pluggable backends)"
-                )
-            store = (
-                LocalDirStore(config.data_dir)
-                if config.data_dir is not None
-                else None
-            )
-        else:
-            if backend is not None and config.data_dir is not None:
-                raise StorageError(
-                    "pass either config.data_dir or backend= to "
-                    "StorageEngine.create, not both"
-                )
-            if backend is None and config.data_dir is None:
-                raise StorageError(
-                    "engine version 2 persists through a backend: pass "
-                    "backend= or set config.data_dir"
-                )
-            store = (
-                backend if backend is not None else LocalDirStore(config.data_dir)
-            )
-        engine = cls(
-            config,
-            sorter,
-            obs=obs,
-            faults=faults,
-            _from_factory=True,
-            _store=store,
-            _version=version,
-        )
-        if store is not None:
-            write_meta(
-                store,
-                EngineMeta(version=version, backend=store.kind, shards=config.shards),
-                faults=engine.faults,
-            )
+        store = _resolve_store(config, backend, "create")
+        engine = cls(config, store, sorter=sorter, obs=obs, faults=faults)
+        engine._stamp()
         return engine
 
     @classmethod
@@ -308,16 +306,16 @@ class StorageEngine:
     ) -> "StorageEngine":
         """Reopen a persisted engine after a restart (or crash).
 
-        Dispatches on the tree's ``meta/engine.json`` stamp (never on
-        ``config.engine_version``): a validated stamp selects its own
-        layout version; an unversioned local directory is inferred as
-        version 1 and stamped; an unversioned explicit backend is
-        inferred as version 2 and stamped (a crash can land between the
-        shard writes of ``create`` and the stamp); a torn or
-        CRC-damaged stamp is rebuilt from what the access path proves;
-        a well-framed stamp naming a future version, a different
-        backend kind, or a different shard count is refused with a
-        precise error.  Resolutions are counted on
+        The tree comes from ``backend=`` or ``config.data_dir`` (exactly
+        one of them).  Dispatches on the tree's ``meta/engine.json``
+        stamp: a well-framed stamp naming a supported version (2, or the
+        read alias 1 that older builds wrote for the byte-identical local
+        tree) is validated and never rewritten; an unversioned tree is
+        stamped (a crash can land between the shard writes of ``create``
+        and the stamp, and pre-stamp local directories have none); a torn
+        or CRC-damaged stamp is rebuilt; a stamp naming a future version,
+        a different backend kind, or a different shard count is refused
+        with a precise error.  Resolutions are counted on
         ``engine_meta_recoveries_total{outcome}``.
 
         Each shard then recovers its own ``shard-NN/`` key prefix
@@ -329,132 +327,38 @@ class StorageEngine:
         over ``config.shards``, so reopening with a different count
         would make recovered series invisible.
         """
-        if backend is not None:
-            if config.data_dir is not None:
-                raise StorageError(
-                    "pass either config.data_dir or backend= to "
-                    "StorageEngine.open, not both"
-                )
-            store, version, outcome = cls._resolve_store_meta(config, backend)
-        else:
-            if config.data_dir is None:
-                raise StorageError(
-                    "StorageEngine.open requires a data_dir configuration"
-                )
-            store = LocalDirStore(config.data_dir)
-            version, outcome = cls._resolve_local_meta(config, store)
-        engine = cls(
-            config,
-            sorter,
-            obs=obs,
-            faults=faults,
-            _from_factory=True,
-            _fresh=False,
-            _store=store,
-            _version=version,
-        )
+        if backend is None and config.data_dir is None:
+            raise StorageError(
+                "StorageEngine.open needs a persisted tree: pass backend= "
+                "or set config.data_dir"
+            )
+        store = _resolve_store(config, backend, "open")
+        if config.data_dir is not None:
+            _check_local_shape(config)
+        outcome = _resolve_meta(config, store)
+        engine = cls(config, store, sorter=sorter, obs=obs, faults=faults, fresh=False)
         engine._instruments.meta_recoveries.labels(outcome=outcome).inc()
         # A crash during a stamp's publish can leave a torn .part behind;
         # it was never the published stamp, so it is plain garbage.
         store.delete(ENGINE_META_KEY + ".part", missing_ok=True)
         if outcome != "validated":
-            write_meta(
-                store,
-                EngineMeta(version=version, backend=store.kind, shards=config.shards),
-                faults=engine.faults,
-            )
+            engine._stamp()
         with engine._lock:
             for shard in engine._shards:
                 shard.recover()
         return engine
 
-    @staticmethod
-    def _resolve_store_meta(
-        config: IoTDBConfig, store: BlobStore
-    ) -> tuple[BlobStore, int, str]:
-        """Resolve the stamp of an explicit-backend tree (v2 only)."""
-        try:
-            meta = read_meta(store)
-        except MetaCorruptionError:
-            # A torn stamp is a crash artifact.  The tree reached us
-            # through an explicit BlobStore, which only version 2 ever
-            # writes — rebuild the stamp from that.
-            return store, 2, "rebuilt-corrupt"
-        if meta is None:
-            # create() stamps after the shards initialise, so a crash in
-            # between leaves an unversioned v2 tree.
-            return store, 2, "stamped-unversioned"
-        check_supported_version(meta.version)
-        if meta.version == 1:
-            raise StorageError(
-                "this tree was written as engine version 1 (the local "
-                "directory layout); open it through config.data_dir, not "
-                "an explicit backend"
-            )
-        if meta.backend != store.kind:
-            raise StorageError(
-                f"engine meta records backend kind {meta.backend!r} but the "
-                f"store passed to open is {store.kind!r}; refusing to mix "
-                "backends"
-            )
-        if meta.shards != config.shards:
-            raise StorageError(
-                f"engine meta records {meta.shards} shards but "
-                f"config.shards={config.shards}; reopen with the shard "
-                "count the tree was written with"
-            )
-        return store, meta.version, "validated"
-
-    @staticmethod
-    def _resolve_local_meta(
-        config: IoTDBConfig, store: BlobStore
-    ) -> tuple[int, str]:
-        """Resolve the stamp of a ``data_dir`` tree (v1 or v2-local).
-
-        Unversioned directories predate the stamp: their shape is checked
-        (shard-directory count, no stray root TsFiles) and they are
-        inferred as version 1.  The v1 and v2-local layouts are
-        byte-identical below ``meta/``, so a torn stamp costs nothing but
-        a rebuild — the shard recovery path proves everything else.
-        """
-        data_dir = Path(config.data_dir)
-        existing = sorted(p for p in data_dir.glob("shard-*") if p.is_dir())
-        if existing and len(existing) != config.shards:
-            raise StorageError(
-                f"data_dir holds {len(existing)} shard directories but "
-                f"config.shards={config.shards}; reopen with the shard "
-                "count the directory was written with"
-            )
-        stray = sorted(data_dir.glob("*.tsfile")) + sorted(
-            data_dir.glob("*.tsfile.part")
+    def _stamp(self) -> None:
+        """Publish this tree's ``meta/engine.json`` (layout version 2)."""
+        write_meta(
+            self.store,
+            EngineMeta(
+                version=LAYOUT_VERSION,
+                backend=self.store.kind,
+                shards=self.config.shards,
+            ),
+            faults=self.faults,
         )
-        if stray:
-            raise StorageError(
-                f"unrecognised TsFile name {stray[0].name!r}: TsFiles "
-                "live under per-shard shard-NN/ directories"
-            )
-        try:
-            meta = read_meta(store)
-        except MetaCorruptionError:
-            # Crash artifact; the directory shape above already passed the
-            # v1 checks, and v1/v2-local trees coincide — stamp v1.
-            return 1, "rebuilt-corrupt"
-        if meta is None:
-            return 1, "stamped-unversioned"
-        check_supported_version(meta.version)
-        if meta.backend != store.kind:
-            raise StorageError(
-                f"engine meta records backend kind {meta.backend!r} but "
-                f"data_dir trees are written through a 'local' store; "
-                "refusing to mix backends"
-            )
-        if meta.shards != config.shards:
-            raise StorageError(
-                f"engine meta records {meta.shards} shards but "
-                f"config.shards={config.shards}; reopen with the shard "
-                "count the tree was written with"
-            )
-        return meta.version, "validated"
 
     # -- sharding ------------------------------------------------------------
 
@@ -691,14 +595,3 @@ class StorageEngine:
             self._map_shards(lambda s: s.close())
         if self._flush_pool is not None:
             self._flush_pool.shutdown(wait=True)
-
-    def recover_from_wal(self) -> int:
-        """Replay every shard's WAL into its working memtables.
-
-        Returns the number of replayed points.  Only meaningful on a fresh
-        engine constructed over the same WAL buffers.
-        """
-        if not self.config.wal_enabled:
-            raise StorageError("WAL is disabled in this configuration")
-        with self._lock:
-            return sum(shard.recover_from_wal() for shard in self._shards)

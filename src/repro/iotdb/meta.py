@@ -4,11 +4,12 @@ Every persisted engine tree carries one small CRC-framed blob at the key
 ``meta/engine.json`` recording which layout *version* wrote it, which
 *backend* kind it was written through, and the *shard* count the series
 router hashed over.  ``StorageEngine.open`` dispatches on it (the
-version-aware open pattern of ontologia's RFC 0009): version 1 is the
-historical local directory tree, version 2 the same key layout addressed
-through any :class:`~repro.iotdb.backends.BlobStore`.  Trees written
-before this stamp existed carry no meta at all; ``open`` infers version 1
-from the directory shape and stamps it.
+version-aware open pattern of ontologia's RFC 0009).  There is one
+layout: version 2, the key schema every
+:class:`~repro.iotdb.backends.BlobStore` addresses.  Version 1 is what
+older builds stamped on the byte-identical local directory tree; it stays
+readable as an alias and is never rewritten.  Trees written before this
+stamp existed carry no meta at all; ``open`` stamps them version 2.
 
 Framing (normative; docs/STORAGE.md §"meta/engine.json"):
 
@@ -48,8 +49,11 @@ ENGINE_META_KEY = "meta/engine.json"
 #: First line of the stamp's frame.
 META_MAGIC = "REPROMETA1"
 
+#: The layout version ``StorageEngine.create`` stamps.
+LAYOUT_VERSION = 2
+
 #: Layout versions this build can open (the compatibility matrix rows in
-#: docs/STORAGE.md).
+#: docs/STORAGE.md); 1 is a read alias of the identical bytes.
 SUPPORTED_VERSIONS = (1, 2)
 
 

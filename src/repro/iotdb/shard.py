@@ -15,8 +15,8 @@ that is literally the ``shard-NN/`` subdirectory of ``data_dir``, byte for
 byte — and recovers that prefix independently of its siblings: a crash
 that tears one shard's flush leaves the other shards' recovery untouched.
 Every persistence call site (sink writes, WAL segments, the interval
-index) routes through the store; ``store=None`` is the pure in-memory
-mode with no persistence at all.
+index) routes through the store; an engine without a ``data_dir`` runs
+the same code over a private :class:`~repro.iotdb.backends.MemoryStore`.
 
 Crash consistency (exercised by the ``repro.faults`` harness): every
 operation that can die mid-way leaves a recoverable disk state.  Sinks are
@@ -51,12 +51,11 @@ A shard never acquires the engine lock or another shard's lock.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
 from repro.errors import StorageError
+from repro.iotdb.backends import BlobStore
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.flush import FlushReport, flush_memtable
 from repro.iotdb.interval_index import (
@@ -78,12 +77,13 @@ class _SealedFile:
     """One immutable TsFile plus where its bytes live."""
 
     space: Space
-    reader: TsFileReader
-    #: Blob-store key of the published file (``None`` = in-memory only).
-    key: str | None = None
-    buffer: io.BytesIO | None = None
-    #: Temporary key the sink is written under until sealed (persisted
-    #: sinks only).
+    reader: TsFileReader | None
+    #: Blob-store key of the published file.
+    key: str
+    #: The open store handle the reader (or, until sealed, the writer)
+    #: works over.
+    buffer: object
+    #: Temporary key the sink is written under until sealed.
     part_key: str | None = None
     #: Stable id (``<space>-<counter>``) keying this file in the shard's
     #: interval index; counters are never reused within a shard.
@@ -102,11 +102,6 @@ class _FlushTask:
     #: True when sealing this memtable releases a crash-recovery hold on
     #: the replayed WAL segments (see ``StorageShard.recover``).
     releases_recovery_hold: bool = False
-
-
-def shard_directory(data_dir: Path, shard_id: int) -> Path:
-    """Where shard ``shard_id`` keeps its TsFiles and WAL segments."""
-    return Path(data_dir) / f"shard-{shard_id:02d}"
 
 
 class StorageShard:
@@ -145,8 +140,8 @@ class StorageShard:
         faults,
         instruments,
         executor: TimeRangeQueryExecutor,
+        store: BlobStore,
         fresh: bool = True,
-        store=None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
@@ -157,21 +152,10 @@ class StorageShard:
         self._instruments = instruments
         self._shard_instruments = instruments.for_shard(shard_id)
         self._executor = executor
-        if store is None and config.data_dir is not None:
-            # Direct construction (outside the engine factories) keeps the
-            # historical behaviour: persistence over the local directory.
-            from repro.iotdb.backends.local import LocalDirStore
-
-            store = LocalDirStore(config.data_dir)
-        #: Where this shard persists bytes (``None`` = pure in-memory).
+        #: Where this shard persists bytes.
         self.store = store
         #: This shard's key namespace inside the store.
         self.prefix = f"shard-{shard_id:02d}/"
-        self.data_dir: Path | None = (
-            shard_directory(config.data_dir, shard_id)
-            if config.data_dir is not None
-            else None
-        )
         self._lock = create_lock("StorageShard._lock")
         self._working: dict[Space, MemTable] = {
             Space.SEQUENCE: MemTable(config, obs=obs),
@@ -184,38 +168,29 @@ class StorageShard:
         # access happens under this shard's lock.
         self._index = IntervalIndex()
         self._flush_reports: list[FlushReport] = []
-        if self.store is not None:
-            # Materialise the shard's namespace eagerly where the backend
-            # has real directories — keeps the local tree identical to the
-            # historical layout down to empty shard directories.
-            self.store.ensure_prefix(self.prefix)
+        # Materialise the shard's namespace eagerly where the backend has
+        # real directories — keeps the local tree identical to the
+        # historical layout down to empty shard directories.
+        self.store.ensure_prefix(self.prefix)
         # WAL segments recovered by recover() that must survive until every
         # memtable holding their replayed points has been sealed.
         self._recovery_segments: dict[Space, list[int]] = {}
         self._recovery_holds: set[Space] = set()
         self._wals: dict[Space, SegmentedWal] | None = None
         if config.wal_enabled and fresh:
-            if self.store is not None:
-                # Fresh-start semantics: any WAL segments left behind are
-                # deleted; StorageEngine.open (via recover()) replays them
-                # instead.
-                self._wals = {
-                    space: SegmentedWal.on_store(
-                        self.store,
-                        self.prefix,
-                        space.value,
-                        fresh=True,
-                        wrap=self.faults.wrap_file,
-                    )
-                    for space in (Space.SEQUENCE, Space.UNSEQUENCE)
-                }
-            else:
-                self._wals = {
-                    space: SegmentedWal.in_memory(
-                        space.value, wrap=self.faults.wrap_file
-                    )
-                    for space in (Space.SEQUENCE, Space.UNSEQUENCE)
-                }
+            # Fresh-start semantics: any WAL segments left behind are
+            # deleted; StorageEngine.open (via recover()) replays them
+            # instead.
+            self._wals = {
+                space: SegmentedWal.on_store(
+                    self.store,
+                    self.prefix,
+                    space.value,
+                    fresh=True,
+                    wrap=self.faults.wrap_file,
+                )
+                for space in (Space.SEQUENCE, Space.UNSEQUENCE)
+            }
         apply_guards(self)
 
     # -- write path ----------------------------------------------------------
@@ -294,15 +269,10 @@ class StorageShard:
 
     @holds("_lock")
     def _new_sink(self, space: Space) -> tuple[TsFileWriter, _SealedFile]:
-        """A fresh sink; on disk it is written under a ``.part`` name until
-        sealed, so a crash mid-write can never leave a torn ``.tsfile``."""
+        """A fresh sink, written under a ``.part`` key until sealed, so a
+        crash mid-write can never leave a torn ``.tsfile``."""
         self._file_counter += 1
         file_id = f"{space.value}-{self._file_counter:06d}"
-        if self.store is None:
-            buffer = io.BytesIO()
-            return TsFileWriter(buffer), _SealedFile(
-                space=space, reader=None, buffer=buffer, file_id=file_id
-            )
         key = f"{self.prefix}{file_id}.tsfile"
         part_key = key + ".part"
         handle = self.faults.wrap_file(
@@ -319,23 +289,20 @@ class StorageShard:
         self.faults.crash_point(
             "flush.seal", space=sealed.space.value, shard=self.shard_id
         )
-        if sealed.part_key is not None:
-            self.store.rename_atomic(sealed.part_key, sealed.key)
-            sealed.part_key = None
-            self.faults.crash_point(
-                "flush.sealed", space=sealed.space.value, shard=self.shard_id
-            )
+        self.store.rename_atomic(sealed.part_key, sealed.key)
+        sealed.part_key = None
+        self.faults.crash_point(
+            "flush.sealed", space=sealed.space.value, shard=self.shard_id
+        )
         sealed.reader = TsFileReader(sealed.buffer)
 
     def _discard_sink(self, sealed: _SealedFile) -> None:
         """Drop a partially written sink after a recoverable failure."""
-        if sealed.buffer is not None and not isinstance(sealed.buffer, io.BytesIO):
-            try:
-                sealed.buffer.close()
-            except OSError:
-                pass
-        if sealed.part_key is not None:
-            self.store.delete(sealed.part_key, missing_ok=True)
+        try:
+            sealed.buffer.close()
+        except OSError:
+            pass
+        self.store.delete(sealed.part_key, missing_ok=True)
 
     @holds("_lock")
     def _retire_working(self, space: Space) -> _FlushTask | None:
@@ -442,10 +409,7 @@ class StorageShard:
     @holds("_lock")
     def _persist_index(self) -> None:
         """Write the interval index next to the TsFiles (atomic; fault
-        sites ``index.write``/``index.swap``).  In-memory shards keep the
-        index only in memory."""
-        if self.store is None:
-            return
+        sites ``index.write``/``index.swap``)."""
         self._index.save_to(
             self.store, self.prefix + INDEX_FILE_NAME, faults=self.faults
         )
@@ -538,8 +502,13 @@ class StorageShard:
 
     # -- query path ------------------------------------------------------------
 
+    @holds("_lock")
     def _ttl_floor(self, device: str, sensor: str) -> int | None:
-        """Smallest live timestamp under the TTL policy (None = no TTL)."""
+        """Smallest live timestamp under the TTL policy (None = no TTL).
+
+        Callers hold the shard lock across this and the data read it
+        bounds, so a concurrent write cannot move the floor in between.
+        """
         if self.config.ttl is None:
             return None
         latest = self.latest_time(device, sensor)
@@ -553,18 +522,23 @@ class StorageShard:
         With a TTL configured, expired points (older than the column's
         latest event time minus the TTL) are excluded.
         """
+        from repro.bench.timing import Timer
+
         with self.obs.span(
             "engine.query", device=device, sensor=sensor, shard=self.shard_id
         ) as span:
             with self._lock:
-                floor = self._ttl_floor(device, sensor)
+                with Timer(self.obs.clock) as timer:
+                    floor = self._ttl_floor(device, sensor)
                 if floor is not None and floor > start:
                     if floor >= end:
                         from repro.iotdb.query import QueryStats
 
-                        self._record_query(0.0)
+                        self._record_query(timer.seconds)
                         return QueryResult(
-                            timestamps=[], values=[], stats=QueryStats()
+                            timestamps=[],
+                            values=[],
+                            stats=QueryStats(total_seconds=timer.seconds),
                         )
                     start = floor
                 seq_files = [
@@ -618,17 +592,35 @@ class StorageShard:
         are answered from their statistics without decoding — the payoff of
         the statistics the flush pipeline computes.  Any fresher overlapping
         source forces the always-correct merged raw scan, because an
-        overwrite could invalidate per-page sums.
+        overwrite could invalidate per-page sums.  The TTL floor and the
+        data are read under one shard-lock hold, and every call records
+        exactly one ``engine_query_seconds`` observation.
         """
+        from repro.bench.timing import Timer
         from repro.errors import QueryError
-        from repro.iotdb.aggregation import (
-            AggregationResult,
-            aggregate_from_points,
-            aggregate_sealed_chunk,
-        )
+        from repro.iotdb.aggregation import aggregate_from_points
 
         if start >= end:
             raise QueryError(f"empty time range [{start}, {end})")
+        with self.obs.span(
+            "engine.aggregate", device=device, sensor=sensor, shard=self.shard_id
+        ):
+            with self._lock:
+                with Timer(self.obs.clock) as timer:
+                    result = self._aggregate_without_scan(device, sensor, start, end)
+                if result is None:
+                    # query() applies the same TTL floor within this lock
+                    # hold and records its own observation.
+                    return aggregate_from_points(self.query(device, sensor, start, end))
+                self._record_query(timer.seconds)
+                return result
+
+    @holds("_lock")
+    def _aggregate_without_scan(self, device: str, sensor: str, start: int, end: int):
+        """The answer when no raw scan is needed — a TTL-expired range or
+        the statistics fast path — else ``None``."""
+        from repro.iotdb.aggregation import AggregationResult, aggregate_sealed_chunk
+
         floor = self._ttl_floor(device, sensor)
         if floor is not None and floor > start:
             if floor >= end:
@@ -637,30 +629,19 @@ class StorageShard:
                     max_value=None, first=None, last=None,
                 )
             start = floor
-        with self.obs.span(
-            "engine.aggregate", device=device, sensor=sensor, shard=self.shard_id
-        ):
-            with self._lock:
-                if self._fast_aggregation_safe(device, sensor, start, end):
-                    partials = []
-                    for sealed in self._sealed:
-                        if sealed.space is not Space.SEQUENCE:
-                            continue
-                        meta = sealed.reader.chunk_metadata(device, sensor)
-                        if (
-                            meta is None
-                            or meta.max_time < start
-                            or meta.min_time >= end
-                        ):
-                            continue
-                        partials.append(
-                            aggregate_sealed_chunk(
-                                sealed.reader, device, sensor, start, end
-                            )
-                        )
-                    self._record_query(0.0)
-                    return combine_aggregates(partials)
-                return aggregate_from_points(self.query(device, sensor, start, end))
+        if not self._fast_aggregation_safe(device, sensor, start, end):
+            return None
+        partials = []
+        for sealed in self._sealed:
+            if sealed.space is not Space.SEQUENCE:
+                continue
+            meta = sealed.reader.chunk_metadata(device, sensor)
+            if meta is None or meta.max_time < start or meta.min_time >= end:
+                continue
+            partials.append(
+                aggregate_sealed_chunk(sealed.reader, device, sensor, start, end)
+            )
+        return combine_aggregates(partials)
 
     @holds("_lock")
     def _fast_aggregation_safe(
@@ -745,15 +726,13 @@ class StorageShard:
         """
         removing = {f.file_id for f in to_remove}
         for old in to_remove:
-            if old.buffer is not None and not isinstance(old.buffer, io.BytesIO):
-                old.buffer.close()
-            if old.key is not None:
-                self.faults.crash_point(
-                    "compact.unlink",
-                    file=old.key.rsplit("/", 1)[-1],
-                    shard=self.shard_id,
-                )
-                self.store.delete(old.key, missing_ok=True)
+            old.buffer.close()
+            self.faults.crash_point(
+                "compact.unlink",
+                file=old.key.rsplit("/", 1)[-1],
+                shard=self.shard_id,
+            )
+            self.store.delete(old.key, missing_ok=True)
         survivors = [f for f in self._sealed if f.file_id not in removing]
         if replacement is not None:
             survivors.append(replacement)  # repro: allow(stats-accounting): file set, not a sort
@@ -795,15 +774,11 @@ class StorageShard:
         }
 
     def close(self) -> None:
-        """Flush everything and release this shard's on-disk file handles."""
+        """Flush everything and release this shard's store handles."""
         self.flush_all()
         with self._lock:
-            if self.store is not None:
-                for sealed in self._sealed:
-                    if sealed.buffer is not None and not isinstance(
-                        sealed.buffer, io.BytesIO
-                    ):
-                        sealed.buffer.close()
+            for sealed in self._sealed:
+                sealed.buffer.close()
             if self._wals is not None:
                 for wal in self._wals.values():
                     wal.close()
@@ -829,30 +804,6 @@ class StorageShard:
 
     # -- recovery ----------------------------------------------------------------
 
-    def recover_from_wal(self) -> int:
-        """Replay this shard's WALs into its working memtables.
-
-        Returns the number of replayed points.  Only meaningful on a fresh
-        shard constructed over the same WAL buffers.  Replayed points are
-        routed through the separation policy, so the sequence memtable
-        invariant (no point at or below the watermark) holds afterwards.
-        """
-        with self._lock:
-            if self._wals is None:
-                raise StorageError("WAL is disabled in this configuration")
-            replayed = 0
-            with self.obs.span("engine.wal_replay", shard=self.shard_id) as span:
-                for _space, wal in self._wals.items():
-                    for device, sensor, timestamp, value in wal.replay():
-                        target = self.separation.route(device, timestamp)
-                        self._working[target].write(device, sensor, timestamp, value)
-                        replayed += 1
-                span.set(points=replayed)
-        self._instruments.points_written.inc(replayed)
-        self._shard_instruments.points_written.inc(replayed)
-        self._instruments.wal_replayed.inc(replayed)
-        return replayed
-
     def recover(self) -> int:
         """Rebuild this shard from its persisted key prefix (crash recovery).
 
@@ -868,12 +819,6 @@ class StorageShard:
         only then is it safe to drop them.  Returns the number of WAL
         points replayed.
         """
-        if self.store is None:
-            raise StorageError(
-                "shard recovery requires a persistent backend "
-                "(a data_dir or an explicit BlobStore)"
-            )
-
         # A crash mid-flush or mid-compaction leaves a partially written
         # sink under its .part key: never sealed, never readable, safe to
         # discard.  Same for a torn interval-index .part: the published

@@ -1,29 +1,35 @@
 """Differential parity across persistence backends.
 
-The pluggable backend must change nothing: the same workload driven over
-the v1 local layout, the v2 layout on a ``LocalDirStore``, and the v2
-layout on a ``MemoryStore`` must produce identical query results,
-identical persisted bytes (below ``meta/``), and identical post-crash
-recoveries.  These tests are the differential proof behind the "v1 stays
-byte-for-byte identical" guarantee.
+The pluggable backend must change nothing: the same workload driven over a
+``data_dir`` (``LocalDirStore``) and over a ``MemoryStore`` must produce
+identical query results, identical persisted bytes (below ``meta/``), and
+identical post-crash recoveries.  The local tree is additionally pinned to
+the bytes older builds wrote as layout version 1, which is what makes
+version 1 a pure read alias of version 2.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
-
-import pytest
 
 from repro.iotdb import IoTDBConfig, MemoryStore, StorageEngine
 from tests.conftest import make_delayed_stream
 
-BACKENDS = ("v1", "v2-local", "v2-memory")
+BACKENDS = ("local", "memory")
+
+#: SHA-256 over (path, bytes) of the local tree ``_drive`` leaves behind
+#: (``meta/`` excluded), as written by the last build that still created
+#: separate version-1 trees.
+V1_TREE_SHA256 = "b0cc2c44ee6e5f2ad76ac216812d9c7f2e0c3b3496cf979e373d6294b8535627"
+
+#: The ``meta/engine.json`` stamp that build wrote for the same tree.
+V1_STAMP = b'REPROMETA1\n0f08d817\n{"backend":"local","shards":2,"version":1}\n'
 
 
-def _config(data_dir, version, **kw):
+def _config(data_dir, **kw):
     defaults = dict(
         data_dir=data_dir,
-        engine_version=version,
         wal_enabled=True,
         memtable_flush_threshold=120,
         shards=2,
@@ -33,18 +39,20 @@ def _config(data_dir, version, **kw):
 
 
 def _build(backend, tmp_path, **kw):
-    """(engine, store, data_dir) for one backend flavour."""
-    if backend == "v2-memory":
+    """(engine, store, data_dir) for one backend."""
+    if backend == "memory":
         store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(None, 2, **kw), backend=store
-        )
+        engine = StorageEngine.create(_config(None, **kw), backend=store)
         return engine, store, None
     data_dir = tmp_path / backend / "data"
-    engine = StorageEngine.create(
-        _config(data_dir, 1 if backend == "v1" else 2, **kw)
-    )
+    engine = StorageEngine.create(_config(data_dir, **kw))
     return engine, engine.store, data_dir
+
+
+def _reopen(backend, store, data_dir):
+    if backend == "memory":
+        return StorageEngine.open(_config(None), backend=store)
+    return StorageEngine.open(_config(data_dir))
 
 
 def _drive(engine, n=500, seed=3):
@@ -91,8 +99,7 @@ class TestQueryParity:
                 for device, r in _query_state(engine, horizon).items()
             }
             engine.close()
-        assert results["v2-local"] == results["v1"]
-        assert results["v2-memory"] == results["v2-local"]
+        assert results["memory"] == results["local"]
 
     def test_identical_aggregates_across_backends(self, tmp_path):
         aggregates = {}
@@ -101,28 +108,26 @@ class TestQueryParity:
             horizon = _drive(engine)
             aggregates[backend] = engine.aggregate("d0", "s", 0, horizon)
             engine.close()
-        assert aggregates["v2-local"] == aggregates["v1"]
-        assert aggregates["v2-memory"] == aggregates["v2-local"]
+        assert aggregates["memory"] == aggregates["local"]
 
 
 class TestByteParity:
     def test_v2_local_tree_is_byte_identical_to_v1(self, tmp_path):
-        trees = {}
-        for backend in ("v1", "v2-local"):
-            engine, _, data_dir = _build(backend, tmp_path)
-            _drive(engine)
-            engine.close()
-            trees[backend] = _tree_bytes(data_dir)
-        assert trees["v2-local"].keys() == trees["v1"].keys()
-        assert trees["v2-local"] == trees["v1"]
+        engine, _, data_dir = _build("local", tmp_path)
+        _drive(engine)
+        engine.close()
+        digest = hashlib.sha256()
+        for rel, blob in sorted(_tree_bytes(data_dir).items()):
+            digest.update(rel.encode() + b"\0" + blob + b"\0")
+        assert digest.hexdigest() == V1_TREE_SHA256
 
     def test_v2_memory_blobs_match_v2_local_files(self, tmp_path):
-        engine, _, data_dir = _build("v2-local", tmp_path)
+        engine, _, data_dir = _build("local", tmp_path)
         _drive(engine)
         engine.close()
         local_tree = _tree_bytes(data_dir)
 
-        engine, store, _ = _build("v2-memory", tmp_path)
+        engine, store, _ = _build("memory", tmp_path)
         _drive(engine)
         engine.close()
         memory_tree = _store_bytes(store)
@@ -131,15 +136,20 @@ class TestByteParity:
         assert memory_tree == local_tree
 
     def test_meta_stamps_differ_only_in_version(self, tmp_path):
-        from repro.iotdb import LocalDirStore, read_meta
+        from repro.iotdb import EngineMeta, LocalDirStore, read_meta
+        from repro.iotdb.meta import decode_meta
 
-        for backend, version in (("v1", 1), ("v2-local", 2)):
-            engine, _, data_dir = _build(backend, tmp_path)
-            engine.close()
-            meta = read_meta(LocalDirStore(data_dir))
-            assert meta.version == version
-            assert meta.backend == "local"
-            assert meta.shards == 2
+        engine, _, data_dir = _build("local", tmp_path)
+        engine.close()
+        stamp = LocalDirStore(data_dir).get("meta/engine.json")
+        assert read_meta(LocalDirStore(data_dir)) == EngineMeta(
+            version=2, backend="local", shards=2
+        )
+        # Same length as the version-1 stamp, so stored bytes per point
+        # cannot move; the two decode to the same tree identity.
+        assert len(stamp) == len(V1_STAMP)
+        old = decode_meta(V1_STAMP)
+        assert (old.version, old.backend, old.shards) == (1, "local", 2)
 
 
 class TestCrashReopenParity:
@@ -151,22 +161,16 @@ class TestCrashReopenParity:
             # Abandon without close: sealed files + WAL tails must carry
             # the full state through StorageEngine.open on every backend.
             del engine
-            if backend == "v2-memory":
-                reborn = StorageEngine.open(_config(None, 2), backend=store)
-            else:
-                reborn = StorageEngine.open(
-                    _config(data_dir, 1 if backend == "v1" else 2)
-                )
+            reborn = _reopen(backend, store, data_dir)
             recovered[backend] = {
                 device: (r.timestamps, r.values)
                 for device, r in _query_state(reborn, horizon).items()
             }
             reborn.close()
-        assert recovered["v2-local"] == recovered["v1"]
-        assert recovered["v2-memory"] == recovered["v2-local"]
+        assert recovered["memory"] == recovered["local"]
 
     def test_recovered_points_are_complete(self, tmp_path):
-        engine, store, _ = _build("v2-memory", tmp_path)
+        engine, store, _ = _build("memory", tmp_path)
         n = 500
         stream = make_delayed_stream(n, lam=0.4, seed=3)
         written = {}
@@ -176,7 +180,7 @@ class TestCrashReopenParity:
             written.setdefault(device, {})[t] = v
         horizon = max(stream.timestamps) + 1
         del engine
-        reborn = StorageEngine.open(_config(None, 2), backend=store)
+        reborn = _reopen("memory", store, None)
         for device, expected in written.items():
             result = reborn.query(device, "s", 0, horizon)
             assert dict(zip(result.timestamps, result.values)) == expected

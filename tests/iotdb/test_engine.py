@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.concurrency import apply_guards
 from repro.errors import QueryError, StorageError
-from repro.iotdb import IoTDBConfig, Space, StorageEngine
+from repro.iotdb import IoTDBConfig, MemoryStore, Space, StorageEngine
 from repro.sorting import PAPER_ALGORITHMS
 from repro.workloads import log_normal
 from tests.conftest import make_delayed_stream
@@ -151,16 +150,12 @@ class TestSorterPluggability:
 class TestWalRecovery:
     def test_recover_unflushed_writes(self):
         config = IoTDBConfig(wal_enabled=True, memtable_flush_threshold=10_000)
-        engine = StorageEngine.create(config)
+        store = MemoryStore()
+        engine = StorageEngine.create(config, backend=store)
         _fill(engine, make_delayed_stream(200, seed=9))
-        # Simulate a crash: rebuild a fresh engine over the same WAL buffers.
-        reborn = StorageEngine.create(config)
-        shard, reborn_shard = engine.shards[0], reborn.shards[0]
-        with shard._lock, reborn_shard._lock:
-            reborn_shard._wals = dict(shard._wals)
-        apply_guards(reborn_shard)  # re-wrap the transplant under reborn's lock
-        replayed = reborn.recover_from_wal()
-        assert replayed == 200
+        del engine  # simulated crash: no close, nothing flushed
+        reborn = StorageEngine.open(config, backend=store)
+        assert reborn._instruments.wal_replayed.value == 200
         result = reborn.query("root.d1", "s1", 0, 200)
         assert result.timestamps == list(range(200))
 
@@ -174,9 +169,16 @@ class TestWalRecovery:
         assert wal.size_bytes() == 0
 
     def test_recover_requires_wal_enabled(self):
-        engine = StorageEngine.create(IoTDBConfig(wal_enabled=False))
-        with pytest.raises(StorageError):
-            engine.recover_from_wal()
+        # Without a WAL, unflushed writes die with the process: recovery
+        # surfaces only what was sealed.
+        config = IoTDBConfig(wal_enabled=False, memtable_flush_threshold=10_000)
+        store = MemoryStore()
+        engine = StorageEngine.create(config, backend=store)
+        _fill(engine, make_delayed_stream(200, seed=9))
+        del engine
+        reborn = StorageEngine.open(config, backend=store)
+        assert reborn._instruments.wal_replayed.value == 0
+        assert reborn.query("root.d1", "s1", 0, 200).timestamps == []
 
 
 class TestOnDiskFiles:

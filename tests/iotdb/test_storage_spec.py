@@ -106,7 +106,7 @@ class TestMetaFrameSpec:
         assert blob[-1:] == b"\n"
         assert int(crc_field, 16) == zlib.crc32(payload) & 0xFFFFFFFF
         obj = json.loads(payload)
-        assert obj == {"backend": "local", "shards": 1, "version": 1}
+        assert obj == {"backend": "local", "shards": 1, "version": 2}
         # Compact, key-sorted encoding is normative.
         assert payload.decode() == json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -1,20 +1,17 @@
 """Engine-version dispatch: meta/engine.json stamping, inference, refusal.
 
-``StorageEngine.open`` must dispatch on the tree's own stamp — inferring
-and stamping unversioned trees, rebuilding torn stamps, and refusing
-(never rewriting) well-framed stamps it cannot honour.  Every resolution
-outcome is pinned here, along with the create-side parameter contract.
+``StorageEngine.open`` must dispatch on the tree's own stamp — validating
+version 2 and its read alias 1 as-is, stamping unversioned trees,
+rebuilding torn stamps, and refusing (never rewriting) well-framed stamps
+it cannot honour.  Every resolution outcome is pinned here, along with the
+create-side store-resolution contract.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    InvalidParameterError,
-    MetaCorruptionError,
-    StorageError,
-)
+from repro.errors import MetaCorruptionError, StorageError
 from repro.iotdb import (
     ENGINE_META_KEY,
     EngineMeta,
@@ -45,59 +42,47 @@ def _meta_outcome(engine, outcome):
 
 
 class TestCreateStamps:
-    def test_v1_create_stamps_version_1(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path))
-        engine.close()
-        meta = read_meta(LocalDirStore(tmp_path / "data"))
-        assert meta == EngineMeta(version=1, backend="local", shards=1)
-
     def test_v2_local_create_stamps_version_2(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path, engine_version=2))
+        engine = StorageEngine.create(_config(tmp_path))
         engine.close()
         meta = read_meta(LocalDirStore(tmp_path / "data"))
         assert meta == EngineMeta(version=2, backend="local", shards=1)
 
     def test_v2_memory_create_stamps_store(self):
         store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(shards=3), version=2, backend=store
-        )
+        engine = StorageEngine.create(_config(shards=3), backend=store)
         engine.close()
         assert read_meta(store) == EngineMeta(version=2, backend="memory", shards=3)
 
-    def test_version_kwarg_overrides_config(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path), version=2)
-        engine.close()
-        assert read_meta(LocalDirStore(tmp_path / "data")).version == 2
-
-    def test_in_memory_v1_engine_has_no_store(self):
-        engine = StorageEngine.create(_config())
-        assert engine.store is None
-        engine.close()
+    def test_default_engine_gets_private_memory_store(self):
+        first = StorageEngine.create(_config())
+        second = StorageEngine.create(_config())
+        assert isinstance(first.store, MemoryStore)
+        assert isinstance(second.store, MemoryStore)
+        assert first.store is not second.store
+        assert read_meta(first.store) == EngineMeta(
+            version=2, backend="memory", shards=1
+        )
+        _fill(first)
+        first.flush_all()
+        assert any(k.endswith(".tsfile") for k in first.store.list(""))
+        # Nothing the first engine persisted is visible to the second.
+        assert not any(k.endswith(".tsfile") for k in second.store.list(""))
+        assert second.query("d", "s", 0, 120).timestamps == []
+        first.close()
+        second.close()
 
 
 class TestCreateParameterContract:
-    def test_config_rejects_unknown_engine_version(self):
-        with pytest.raises(InvalidParameterError, match="engine_version"):
-            IoTDBConfig(engine_version=3)
-
-    def test_create_rejects_unknown_version(self, tmp_path):
-        with pytest.raises(StorageError, match="must be 1 or 2"):
-            StorageEngine.create(_config(tmp_path), version=7)
-
-    def test_v1_rejects_explicit_backend(self):
-        with pytest.raises(StorageError, match="version 1"):
-            StorageEngine.create(_config(), version=1, backend=MemoryStore())
-
     def test_v2_rejects_backend_plus_data_dir(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):
-            StorageEngine.create(
-                _config(tmp_path), version=2, backend=MemoryStore()
-            )
+            StorageEngine.create(_config(tmp_path), backend=MemoryStore())
 
     def test_v2_requires_some_backend(self):
-        with pytest.raises(StorageError, match="backend"):
-            StorageEngine.create(_config(), version=2)
+        # create() falls back to a private MemoryStore; open() has no tree
+        # to recover without a data_dir or a backend=.
+        with pytest.raises(StorageError, match="backend="):
+            StorageEngine.open(_config())
 
     def test_open_rejects_backend_plus_data_dir(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):
@@ -106,57 +91,72 @@ class TestCreateParameterContract:
 
 class TestOpenDispatch:
     def test_validated_v1_roundtrip(self, tmp_path):
+        # Older builds stamped the (byte-identical) local tree version 1;
+        # it opens as a read alias, and its stamp is never rewritten.
+        engine = StorageEngine.create(_config(tmp_path))
+        _fill(engine)
+        engine.close()
+        before = StorageEngine.open(_config(tmp_path))
+        expected_query = before.query("d", "s", 0, 120)
+        expected_aggregate = before.aggregate("d", "s", 0, 120)
+        before.close()
+        store = LocalDirStore(tmp_path / "data")
+        v1_stamp = encode_meta(EngineMeta(version=1, backend="local", shards=1))
+        store.put(ENGINE_META_KEY, v1_stamp)
+
+        reborn = StorageEngine.open(_config(tmp_path))
+        assert _meta_outcome(reborn, "validated") == 1
+        assert store.get(ENGINE_META_KEY) == v1_stamp
+        query = reborn.query("d", "s", 0, 120)
+        assert (query.timestamps, query.values) == (
+            expected_query.timestamps,
+            expected_query.values,
+        )
+        assert reborn.aggregate("d", "s", 0, 120) == expected_aggregate
+        reborn.write("d", "s", 500, 1.0)
+        reborn.close()
+        assert store.get(ENGINE_META_KEY) == v1_stamp
+
+    def test_validated_v2_local_roundtrip(self, tmp_path):
         engine = StorageEngine.create(_config(tmp_path))
         _fill(engine)
         del engine
         reborn = StorageEngine.open(_config(tmp_path))
-        assert reborn.engine_version == 1
         assert _meta_outcome(reborn, "validated") == 1
         assert reborn.query("d", "s", 0, 120).timestamps == list(range(120))
         reborn.close()
-
-    def test_validated_v2_local_roundtrip(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path, engine_version=2))
-        _fill(engine)
-        del engine
-        reborn = StorageEngine.open(_config(tmp_path))
-        assert reborn.engine_version == 2
-        assert _meta_outcome(reborn, "validated") == 1
-        assert reborn.query("d", "s", 0, 120).timestamps == list(range(120))
-        reborn.close()
+        assert read_meta(LocalDirStore(tmp_path / "data")).version == 2
 
     def test_validated_v2_memory_roundtrip(self):
         store = MemoryStore()
-        engine = StorageEngine.create(_config(), version=2, backend=store)
+        engine = StorageEngine.create(_config(), backend=store)
         _fill(engine)
         engine.close()
         reborn = StorageEngine.open(_config(), backend=store)
-        assert reborn.engine_version == 2
         assert _meta_outcome(reborn, "validated") == 1
         assert reborn.query("d", "s", 0, 120).timestamps == list(range(120))
         reborn.close()
+        assert read_meta(store).version == 2
 
-    def test_unversioned_local_inferred_v1_and_stamped(self, tmp_path):
+    def test_unversioned_local_inferred_v2_and_stamped(self, tmp_path):
         engine = StorageEngine.create(_config(tmp_path))
         _fill(engine)
         engine.close()
         # Simulate a pre-stamp tree: remove the meta.
         (tmp_path / "data" / "meta" / "engine.json").unlink()
         reborn = StorageEngine.open(_config(tmp_path))
-        assert reborn.engine_version == 1
         assert _meta_outcome(reborn, "stamped-unversioned") == 1
         assert reborn.query("d", "s", 0, 120).timestamps == list(range(120))
         reborn.close()
-        assert read_meta(LocalDirStore(tmp_path / "data")).version == 1
+        assert read_meta(LocalDirStore(tmp_path / "data")).version == 2
 
     def test_unversioned_store_inferred_v2_and_stamped(self):
         store = MemoryStore()
-        engine = StorageEngine.create(_config(), version=2, backend=store)
+        engine = StorageEngine.create(_config(), backend=store)
         _fill(engine)
         engine.close()
         store.delete(ENGINE_META_KEY)
         reborn = StorageEngine.open(_config(), backend=store)
-        assert reborn.engine_version == 2
         assert _meta_outcome(reborn, "stamped-unversioned") == 1
         reborn.close()
         assert read_meta(store).version == 2
@@ -171,11 +171,10 @@ class TestOpenDispatch:
         with pytest.raises(MetaCorruptionError):
             read_meta(store)
         reborn = StorageEngine.open(_config(tmp_path))
-        assert reborn.engine_version == 1
         assert _meta_outcome(reborn, "rebuilt-corrupt") == 1
         assert reborn.query("d", "s", 0, 120).timestamps == list(range(120))
         reborn.close()
-        assert read_meta(store) == EngineMeta(version=1, backend="local", shards=1)
+        assert read_meta(store) == EngineMeta(version=2, backend="local", shards=1)
 
     def test_stray_meta_part_is_garbage_collected(self, tmp_path):
         engine = StorageEngine.create(_config(tmp_path))
@@ -218,12 +217,13 @@ class TestOpenDispatch:
         assert store.get(ENGINE_META_KEY) == blob
 
     def test_v1_tree_refused_through_explicit_backend(self):
+        # Version 1 trees were only ever written to a local directory.
         store = MemoryStore()
         store.put(
             ENGINE_META_KEY,
             encode_meta(EngineMeta(version=1, backend="local", shards=1)),
         )
-        with pytest.raises(StorageError, match="version 1"):
+        with pytest.raises(StorageError, match="backend kind 'local'"):
             StorageEngine.open(_config(), backend=store)
 
     def test_backend_kind_mismatch_refused(self, tmp_path):
@@ -239,9 +239,7 @@ class TestOpenDispatch:
 
     def test_meta_shards_mismatch_refused(self):
         store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(shards=3), version=2, backend=store
-        )
+        engine = StorageEngine.create(_config(shards=3), backend=store)
         engine.close()
         with pytest.raises(StorageError, match="3 shards"):
             StorageEngine.open(_config(shards=2), backend=store)
